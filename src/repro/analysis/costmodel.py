@@ -4,8 +4,8 @@ The optimiser's Phase C (:func:`repro.analysis.optimize.optimise_description`
 with ``reorder=True``) orders simple-rule bodies cheapest-first. By default
 the rank of a condition comes from a static table (comparisons before
 background lookups before fluent queries before stream joins). This module
-replaces that heuristic with *measured* ranks: the evaluator
-(:mod:`repro.rtec.simple`) counts, per condition class, how many times a
+replaces that heuristic with *measured* ranks: the compiled rule bodies
+(:mod:`repro.rtec.compile`) count, per condition class, how many times a
 condition of that class was attempted and how many substitutions it
 yielded; the ratio is the class's observed **expansion factor** — below 1
 the class filters, above 1 it fans out — and ordering by it puts the most
@@ -165,7 +165,7 @@ class CostModel:
         """Build a model from a :class:`~repro.telemetry.report.TelemetryReport`.
 
         Sums the ``cond.<class>.eval`` / ``cond.<class>.sol`` counters the
-        evaluator emits (see :mod:`repro.rtec.simple`) across the whole
+        compiled rule bodies emit (see :mod:`repro.rtec.compile`) across the whole
         span forest; classes with fewer than :data:`MIN_SAMPLES` attempts
         keep their prior. Per-rule wall-clock comes from the ``rtec.rule``
         spans' ``head`` attribute.

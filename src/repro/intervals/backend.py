@@ -1,7 +1,6 @@
-"""Kernel backend registry for the interval algebra and event scans.
+"""Kernel backend registry for the interval algebra.
 
-Two backends implement the interval constructs of Definition 2.4 (and the
-vectorised candidate filtering in :mod:`repro.rtec.simple`):
+Two backends implement the interval constructs of Definition 2.4:
 
 ``pure``
     The original pure-Python sweeps over ``Interval`` objects. Always

@@ -9,13 +9,39 @@ change over time; the engine queries them by unification.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import (
+    AbstractSet,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.logic.parser import parse_program
 from repro.logic.terms import Compound, Constant, Term, is_ground
 from repro.logic.unification import Substitution, unify
 
-__all__ = ["KnowledgeBase"]
+__all__ = ["KnowledgeBase", "PredicateIndex"]
+
+
+class PredicateIndex(NamedTuple):
+    """Read-only views of the facts of one predicate (see
+    :meth:`KnowledgeBase.predicate_index`)."""
+
+    #: Every fact, in insertion order.
+    facts: Sequence[Term]
+    #: The same facts as a set, for ground membership tests.
+    ground: AbstractSet[Term]
+    #: Facts grouped by their (ground) first argument.
+    by_first: Mapping[Term, Sequence[Term]]
+
+
+_NO_FACTS = PredicateIndex((), frozenset(), {})
 
 
 def _key_of(term: Term) -> Tuple[str, int]:
@@ -73,6 +99,20 @@ class KnowledgeBase:
         for (name, _arity), stored in sorted(self._facts.items()):
             if functor is None or name == functor:
                 yield from stored
+
+    def predicate_index(self, key: Tuple[str, int]) -> PredicateIndex:
+        """The facts of predicate ``key`` = (functor, arity) and their indexes.
+
+        Compiled rule bodies (:mod:`repro.rtec.compile`) fetch this once per
+        evaluation and answer a ground condition by set membership and a
+        non-ground one by scanning ``facts`` — or ``by_first[first]`` when
+        the first argument is bound — with positional matching. The views
+        are live and must not be mutated.
+        """
+        facts = self._facts.get(key)
+        if not facts:
+            return _NO_FACTS
+        return PredicateIndex(facts, self._fact_sets[key], self._by_first.get(key, {}))
 
     def query(self, goal: Term, subst: Optional[Substitution] = None) -> Iterator[Substitution]:
         """Yield one extended substitution per fact unifying with ``goal``."""

@@ -11,44 +11,26 @@ For every simple fluent schema the engine:
 3. pairs initiations with terminations into maximal intervals
    (:func:`repro.intervals.make_intervals_from_points`).
 
-Rules are evaluated through the compiled plans of :mod:`repro.rtec.compile`:
-literal dispatch and functor keys are resolved once per rule, atemporal
-prefixes once per window, and seed events bind the rule via a plain dict
-build whenever the seed pattern allows it.
+Rule bodies run as generated Python functions
+(:func:`repro.rtec.compile.compiled_body`): variables live in fixed local
+slots, atemporal prefixes are solved once per window, and every condition is
+a loop or guard specialised to the variables bound at that point.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import Counter, defaultdict
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro import telemetry
 from repro.intervals import IntervalList
-from repro.intervals import backend as kernel_backend
 from repro.intervals.pairing import pair_intervals
 from repro.logic.knowledge import KnowledgeBase
 from repro.logic.parser import Rule
-from repro.logic.terms import (
-    Compound,
-    Constant,
-    Term,
-    intern_constant,
-    is_fvp,
-    is_ground,
-)
+from repro.logic.terms import Compound, Term, is_ground
 from repro.logic.pretty import term_to_str
-from repro.logic.unification import Substitution, unify
-from repro.rtec.builtins import evaluate_comparison
-from repro.rtec.compile import (
-    COMPARE,
-    HAPPENS,
-    HOLDS,
-    CompiledLiteral,
-    compile_rule,
-    pattern_key as _pattern_key,
-    vector_filter,
-)
+from repro.logic.unification import unify
+from repro.rtec.compile import compiled_body, pattern_key as _pattern_key
 from repro.rtec.description import SimpleFluentDef
 from repro.rtec.errors import EvaluationError
 from repro.rtec.store import FluentStore
@@ -115,8 +97,11 @@ def evaluate_simple_fluent(
         # A termination whose head still has unbound variables (e.g. the
         # AreaType of "terminatedAt(withinArea(Vl, AreaType)=true, T) :-
         # happensAt(gap_start(Vl), T)") terminates every matching instance.
-        pending: List[Tuple[Term, int]] = []
+        # Which head variables a rule binds is fixed by its body, so either
+        # every firing of a rule is ground or none is: test the first.
+        non_ground: List[Tuple[Term, int]] = []
         for rule in definition.terminated_rules:
+            fired: List[Tuple[Term, int]] = []
             with telemetry.span("rtec.rule") as rsp:
                 if rsp.enabled:
                     rsp.set(head=term_to_str(rule.head), kind="terminatedAt")
@@ -124,17 +109,16 @@ def evaluate_simple_fluent(
                     for pair, time in rule_firing_points(
                         rule, stream, kb, store, window_start, window_end, require_ground=False
                     ):
-                        pending.append((pair, time))
+                        fired.append((pair, time))
                 except EvaluationError as exc:
                     if on_error is None:
                         raise exc.with_context(rule_head=rule.head) from exc
                     on_error("skipped rule %r: %s" % (rule.head, exc))
-        non_ground: List[Tuple[Term, int]] = []
-        for pattern, time in pending:
-            if is_ground(pattern):
-                terminations[pattern].add(time)
+            if fired and is_ground(fired[0][0]):
+                for pair, time in fired:
+                    terminations[pair].add(time)
             else:
-                non_ground.append((pattern, time))
+                non_ground.extend(fired)
         if non_ground:
             _apply_universal_terminations(non_ground, initiations, terminations)
 
@@ -256,404 +240,12 @@ def rule_firing_points(
     """Yield ``(head FVP, time)`` for every satisfied body instance.
 
     Per Definition 2.2 the first condition is a positive ``happensAt``; each
-    of its event occurrences seeds a substitution which the remaining
-    conditions filter and extend. With ``require_ground=False`` the head FVP
-    may retain unbound variables (universal terminations); initiations must
-    always be ground.
+    of its event occurrences seeds a binding which the remaining conditions
+    filter and extend. With ``require_ground=False`` the head FVP may retain
+    unbound variables (universal terminations); initiations must always be
+    ground. The body runs as the rule's generated function
+    (:func:`repro.rtec.compile.compiled_body`), in its counting variant
+    while a tracer is installed.
     """
-    plan = compile_rule(rule)
-
-    # The atemporal prefix does not depend on the seed event: evaluate it
-    # once per window and share its solutions across every seed.
-    prefix: List[Substitution] = [Substitution()]
-    for literal in plan.hoisted:
-        prefix = [ext for s in prefix for ext in kb.query(literal.term, s)]
-        if not prefix:
-            return
-
-    head_pair, head_time = plan.head_pair, plan.head_time
-    fast = plan.seed_args is not None
-    single_prefix = len(prefix) == 1
-
-    if fast and kernel_backend.columnar_active():
-        candidates = _vector_candidates(plan, prefix, stream, window_start, window_end)
-        if candidates is not None:
-            telemetry.count("kernel.rule_filter.columnar")
-            for event, p in candidates:
-                if plan.seed_args:
-                    merged = dict(zip(plan.seed_args, event.term.args))
-                else:
-                    merged = {}
-                merged[plan.seed_time_var] = intern_constant(event.time)
-                bindings = p._bindings
-                if bindings:
-                    base = dict(bindings)
-                    base.update(merged)
-                    merged = base
-                final = Substitution._wrap(merged)
-                pair = final.resolve(head_pair)
-                if require_ground and not is_ground(pair):
-                    raise EvaluationError(
-                        "head FVP %r not ground after body evaluation of %r"
-                        % (pair, rule.head)
-                    )
-                time_term = final.resolve(head_time)
-                if not isinstance(time_term, Constant) or not time_term.is_number:
-                    raise EvaluationError(
-                        "head time-point is not bound in %r" % (rule.head,)
-                    )
-                yield pair, int(time_term.value)
-            return
-        telemetry.count("kernel.rule_filter.fallback")
-
-    for event in stream.events_in_window(
-        plan.seed_key[0], plan.seed_key[1], window_start, window_end
-    ):
-        time_const = intern_constant(event.time)
-        seeds: List[Substitution] = []
-        if fast:
-            # Distinct fresh variables: ground the seed by dict build. The
-            # stream index guarantees the functor/arity matches.
-            if plan.seed_args:
-                base = dict(zip(plan.seed_args, event.term.args))
-            else:
-                base = {}
-            base[plan.seed_time_var] = time_const
-            for p in prefix:
-                bindings = p._bindings
-                if bindings:
-                    merged = dict(bindings)
-                    merged.update(base)
-                elif single_prefix:
-                    merged = base
-                else:
-                    merged = dict(base)
-                seeds.append(Substitution._wrap(merged))
-        else:
-            for p in prefix:
-                subst = unify(plan.seed_event, event.term, p)
-                if subst is None:
-                    continue
-                subst = unify(plan.seed_time, time_const, subst)
-                if subst is not None:
-                    seeds.append(subst)
-        for subst in seeds:
-            for final in _satisfy(
-                plan.body, subst, stream, kb, store, window_start, window_end
-            ):
-                pair = final.resolve(head_pair)
-                if require_ground and not is_ground(pair):
-                    raise EvaluationError(
-                        "head FVP %r not ground after body evaluation of %r"
-                        % (pair, rule.head)
-                    )
-                time_term = final.resolve(head_time)
-                if not isinstance(time_term, Constant) or not time_term.is_number:
-                    raise EvaluationError(
-                        "head time-point is not bound in %r" % (rule.head,)
-                    )
-                yield pair, int(time_term.value)
-
-
-#: Marks a comparison side the columnar filter cannot evaluate exactly —
-#: unbound or non-numeric variables, or integers beyond float64 exactness.
-_FALLBACK = object()
-
-#: Integers beyond ±2**53 lose exactness as float64 (mirrors the column
-#: builder in :mod:`repro.rtec.stream`).
-_FLOAT64_EXACT_BOUND = 2**53
-
-#: Elementwise comparator semantics identical to ``builtins._COMPARATORS``:
-#: ``math.isclose(a, b, rel_tol=0.0, abs_tol=1e-9)`` is ``|a - b| <= 1e-9``
-#: computed in float64, which is exactly what the array expression does.
-_VECTOR_COMPARATORS = {
-    "<": lambda a, b: a < b,
-    ">": lambda a, b: a > b,
-    "=<": lambda a, b: a <= b,
-    ">=": lambda a, b: a >= b,
-    "=:=": lambda a, b: abs(a - b) <= 1e-9,
-    "=\\=": lambda a, b: abs(a - b) > 1e-9,
-}
-
-
-def _vector_candidates(plan, prefix, stream, window_start, window_end):
-    """The seed events passing the body's comparisons, as a batch mask.
-
-    Applies when the plan is vector-filterable (see
-    :func:`repro.rtec.compile.vector_filter`) and every comparison side
-    resolves to a float64-exact numeric column or scalar. Returns an
-    iterable of ``(event, prefix substitution)`` pairs in the order the
-    per-event path would produce them (events ascending, prefix solutions
-    in order), an empty tuple when nothing can fire, or ``None`` to fall
-    back to the per-event path — which then reproduces the pure backend's
-    behaviour, including its errors, exactly.
-    """
-    filters = vector_filter(plan)
-    if filters is None:
-        return None
-    info = stream.columns(plan.seed_key[0], plan.seed_key[1])
-    if info is None:
-        return ()
-    bucket, times, np_times, value_columns = info
-    lo = bisect_right(times, window_start)
-    hi = bisect_right(times, window_end)
-    if lo >= hi:
-        return ()
-    column_of = {var: index for index, var in enumerate(plan.seed_args)}
-    sliced: Dict[object, object] = {}
-
-    def side_value(term, subst):
-        if isinstance(term, Constant):
-            value = term.value
-        else:
-            position = column_of.get(term)
-            if position is not None:
-                column = value_columns[position]
-                if column is None:
-                    return _FALLBACK
-                array = sliced.get(position)
-                if array is None:
-                    array = column[lo:hi]
-                    sliced[position] = array
-                return array
-            if term == plan.seed_time_var:
-                array = sliced.get("time")
-                if array is None:
-                    array = np_times[lo:hi]
-                    sliced["time"] = array
-                return array
-            resolved = subst.resolve(term)
-            if not (isinstance(resolved, Constant) and resolved.is_number):
-                return _FALLBACK
-            value = resolved.value
-        if isinstance(value, int) and (
-            value > _FLOAT64_EXACT_BOUND or value < -_FLOAT64_EXACT_BOUND
-        ):
-            return _FALLBACK
-        return value
-
-    per_prefix = []
-    for p in prefix:
-        mask = None
-        for literal in filters:
-            comparator = _VECTOR_COMPARATORS.get(literal.term.functor)
-            if comparator is None:
-                return None
-            left = side_value(literal.term.args[0], p)
-            if left is _FALLBACK:
-                return None
-            right = side_value(literal.term.args[1], p)
-            if right is _FALLBACK:
-                return None
-            satisfied = comparator(left, right)
-            if literal.negated:
-                satisfied = (
-                    (not satisfied) if isinstance(satisfied, bool) else ~satisfied
-                )
-            mask = satisfied if mask is None else mask & satisfied
-        per_prefix.append((p, mask))
-
-    # Candidate indices: the union of the per-prefix masks, iterated
-    # event-major so yields interleave exactly like the per-event path.
-    all_pass = False
-    union_mask = None
-    for _p, mask in per_prefix:
-        if isinstance(mask, bool):
-            if mask:
-                all_pass = True
-        else:
-            union_mask = mask if union_mask is None else union_mask | mask
-    if all_pass:
-        indices = range(hi - lo)
-    elif union_mask is not None:
-        indices = union_mask.nonzero()[0]
-    else:
-        return ()
-
-    def emit():
-        for i in indices:
-            event = bucket[lo + int(i)]
-            for p, mask in per_prefix:
-                if mask if isinstance(mask, bool) else mask[i]:
-                    yield event, p
-
-    return emit()
-
-
-def _satisfy(
-    literals: Tuple[CompiledLiteral, ...],
-    subst: Substitution,
-    stream: EventStream,
-    kb: KnowledgeBase,
-    store: FluentStore,
-    window_start: int,
-    window_end: int,
-) -> Iterator[Substitution]:
-    """Depth-first evaluation of the remaining body conditions."""
-    if not literals:
-        yield subst
-        return
-    compiled, rest = literals[0], literals[1:]
-    for extended in _satisfy_one(compiled, subst, stream, kb, store, window_start, window_end):
-        yield from _satisfy(rest, extended, stream, kb, store, window_start, window_end)
-
-
-def _condition_class(compiled: CompiledLiteral, subst: Substitution) -> str:
-    """The measured cost class of one condition at evaluation time.
-
-    Mirrors :func:`repro.analysis.costmodel.condition_class` — the
-    holdsAt ground/enumerating split is decided on the actual
-    substitution, which is exactly the boundness the static analysis
-    approximates.
-    """
-    tag = compiled.tag
-    literal = compiled.literal
-    if tag == COMPARE:
-        return "compare"
-    if tag == HAPPENS:
-        return "happensat.neg" if literal.negated else "happensat"
-    if tag == HOLDS:
-        if is_ground(subst.resolve(literal.term.args[0])):  # type: ignore[union-attr]
-            return "holdsat.ground"
-        return "holdsat.enum"
-    return "background.neg" if literal.negated else "background"
-
-
-def _satisfy_one(
-    compiled: CompiledLiteral,
-    subst: Substitution,
-    stream: EventStream,
-    kb: KnowledgeBase,
-    store: FluentStore,
-    window_start: int,
-    window_end: int,
-) -> Iterator[Substitution]:
-    if telemetry.is_enabled():
-        # Condition-class selectivity counters feed the measured cost
-        # model (repro.analysis.costmodel): attempts vs yielded
-        # substitutions per class, attributed to the enclosing rtec.rule
-        # span. Only ever active under an installed tracer.
-        cls = _condition_class(compiled, subst)
-        telemetry.count("cond.%s.eval" % cls)
-        solutions = 0
-        for extended in _satisfy_one_inner(
-            compiled, subst, stream, kb, store, window_start, window_end
-        ):
-            solutions += 1
-            yield extended
-        if solutions:
-            telemetry.count("cond.%s.sol" % cls, solutions)
-        return
-    yield from _satisfy_one_inner(
-        compiled, subst, stream, kb, store, window_start, window_end
-    )
-
-
-def _satisfy_one_inner(
-    compiled: CompiledLiteral,
-    subst: Substitution,
-    stream: EventStream,
-    kb: KnowledgeBase,
-    store: FluentStore,
-    window_start: int,
-    window_end: int,
-) -> Iterator[Substitution]:
-    tag = compiled.tag
-    if tag == HAPPENS:
-        yield from _satisfy_happens_at(compiled, subst, stream, window_start, window_end)
-    elif tag == HOLDS:
-        yield from _satisfy_holds_at(compiled, subst, store)
-    elif tag == COMPARE:
-        literal = compiled.literal
-        try:
-            satisfied = evaluate_comparison(literal.term, subst)
-        except EvaluationError as exc:
-            raise exc.with_context(condition=literal.term) from exc
-        if literal.negated:
-            if not satisfied:
-                yield subst
-        elif satisfied:
-            yield subst
-    else:
-        # Atemporal background predicate.
-        literal = compiled.literal
-        if literal.negated:
-            if not kb.holds(literal.term, subst):
-                yield subst
-        else:
-            yield from kb.query(literal.term, subst)
-
-
-def _satisfy_happens_at(
-    compiled: CompiledLiteral,
-    subst: Substitution,
-    stream: EventStream,
-    window_start: int,
-    window_end: int,
-) -> Iterator[Substitution]:
-    literal = compiled.literal
-    event_pattern, time_pattern = literal.term.args  # type: ignore[union-attr]
-    key = compiled.key
-    if key is None:
-        key = _pattern_key(subst.resolve(event_pattern))
-    first = None
-    if isinstance(event_pattern, Compound):
-        first_arg = subst.resolve(event_pattern.args[0])
-        if is_ground(first_arg):
-            first = first_arg
-    time_term = subst.resolve(time_pattern)
-    if isinstance(time_term, Constant) and time_term.is_number:
-        candidates = stream.events_at(key[0], key[1], int(time_term.value), first)
-    else:
-        candidates = stream.events_in_window(key[0], key[1], window_start, window_end, first)
-    if literal.negated:
-        for event in candidates:
-            if (
-                unify(event_pattern, event.term, subst) is not None
-                and unify(time_pattern, intern_constant(event.time), subst) is not None
-            ):
-                return
-        yield subst
-        return
-    for event in candidates:
-        extended = unify(event_pattern, event.term, subst)
-        if extended is None:
-            continue
-        extended = unify(time_pattern, intern_constant(event.time), extended)
-        if extended is not None:
-            yield extended
-
-
-def _satisfy_holds_at(
-    compiled: CompiledLiteral, subst: Substitution, store: FluentStore
-) -> Iterator[Substitution]:
-    literal = compiled.literal
-    pair_pattern = subst.resolve(literal.term.args[0])  # type: ignore[union-attr]
-    time_term = subst.resolve(literal.term.args[1])  # type: ignore[union-attr]
-    if not (isinstance(time_term, Constant) and time_term.is_number):
-        raise EvaluationError("holdsAt time-point must be bound: %r" % (literal.term,))
-    if not is_fvp(pair_pattern):
-        raise EvaluationError("holdsAt requires an FVP argument: %r" % (literal.term,))
-    time = int(time_term.value)
-    if is_ground(pair_pattern):
-        holds = store.holds_at(pair_pattern, time)
-        if literal.negated:
-            if not holds:
-                yield subst
-        elif holds:
-            yield subst
-        return
-    if literal.negated:
-        raise EvaluationError(
-            "negated holdsAt requires ground arguments: %r" % (literal.term,)
-        )
-    assert isinstance(pair_pattern, Compound)
-    key = compiled.key
-    if key is None:
-        key = _pattern_key(pair_pattern.args[0])
-    for pair, intervals in store.instances(key):
-        if not intervals.holds_at(time):
-            continue
-        extended = unify(pair_pattern, pair, subst)
-        if extended is not None:
-            yield extended
+    body = compiled_body(rule, telemetry.is_enabled())
+    return body(stream, kb, store, window_start, window_end, require_ground)

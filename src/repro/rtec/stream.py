@@ -82,9 +82,6 @@ class EventStream:
         self._count = len(self._sorted)
         self._min_time: Optional[int] = self._sorted[0].time if self._sorted else None
         self._max_time: Optional[int] = self._sorted[-1].time if self._sorted else None
-        # Per-functor numeric columns for the vectorised rule filter,
-        # built lazily by ``columns()`` and dropped on ``append``.
-        self._columns: Dict[Tuple[str, int], Tuple[object, tuple]] = {}
         for event in self._sorted:
             key = (event.functor, event.arity)
             self._by_functor[key].append(event)
@@ -117,7 +114,6 @@ class EventStream:
             self._sorted.insert(position, event)
             self._times.insert(position, event.time)
         self._count += 1
-        self._columns.pop((event.functor, event.arity), None)
         if self._min_time is None or event.time < self._min_time:
             self._min_time = event.time
         if self._max_time is None or event.time > self._max_time:
@@ -212,7 +208,6 @@ class EventStream:
         clone._times_by_functor = {}
         clone._by_entity = defaultdict(list)
         clone._entity_times = {}
-        clone._columns = {}
         if lo >= hi:
             clone._sorted = []
             clone._times = []
@@ -238,31 +233,6 @@ class EventStream:
                 clone._by_entity[ekey] = self._by_entity[ekey][b_lo:b_hi]
                 clone._entity_times[ekey] = bucket_times[b_lo:b_hi]
         return clone
-
-    def columns(
-        self, functor: str, arity: int
-    ) -> Optional[Tuple[List[Event], List[int], object, tuple]]:
-        """Columnar view of one functor bucket for the vectorised rule filter.
-
-        Returns ``(bucket, times, np_times, value_columns)`` or ``None``
-        when the bucket is empty. ``value_columns`` has one entry per
-        argument position: a float64 array of that argument's values when
-        every event carries a float64-exact numeric constant there, else
-        ``None`` (the vectorised filter then falls back to the per-event
-        path for sides touching that position). Built lazily per bucket and
-        cached until the next ``append`` of this functor. Requires numpy —
-        only the columnar backend calls this.
-        """
-        key = (functor, arity)
-        bucket = self._by_functor.get(key)
-        if not bucket:
-            return None
-        cached = self._columns.get(key)
-        if cached is None:
-            cached = _build_columns(bucket, arity)
-            self._columns[key] = cached
-        np_times, value_columns = cached
-        return bucket, self._times_by_functor[key], np_times, value_columns
 
     def events_in_window(
         self, functor: str, arity: int, start: int, end: int, first: Optional[Term] = None
@@ -308,36 +278,6 @@ class EventStream:
 
     def functors(self) -> List[Tuple[str, int]]:
         return sorted(self._by_functor)
-
-
-#: Integers beyond ±2**53 are not exactly representable as float64; columns
-#: containing one are rejected so the vectorised comparisons stay exact.
-_FLOAT64_EXACT_BOUND = 2**53
-
-
-def _build_columns(bucket: List[Event], arity: int) -> Tuple[object, tuple]:
-    import numpy
-
-    count = len(bucket)
-    np_times = numpy.fromiter((e.time for e in bucket), dtype=numpy.int64, count=count)
-    value_columns = []
-    for position in range(arity):
-        values = numpy.empty(count, dtype=numpy.float64)
-        usable = True
-        for index, event in enumerate(bucket):
-            argument = event.term.args[position]
-            if not (isinstance(argument, Constant) and argument.is_number):
-                usable = False
-                break
-            value = argument.value
-            if isinstance(value, int) and (
-                value > _FLOAT64_EXACT_BOUND or value < -_FLOAT64_EXACT_BOUND
-            ):
-                usable = False
-                break
-            values[index] = value
-        value_columns.append(values if usable else None)
-    return np_times, tuple(value_columns)
 
 
 class InputFluents:
